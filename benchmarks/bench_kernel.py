@@ -1,36 +1,19 @@
-"""Bench: the typed event kernel at 64K-1M virtual ranks.
+"""Bench: the typed event kernel at fig scale (64K virtual ranks).
 
-Two claims from ROADMAP item 4 are enforced here, on top of the PR 7
-profiler baseline:
-
-- **Fig-scale at 64K ranks under the budget ceilings.**  The quickstart
-  workload is weak-scaled to ``REPRO_KERNEL_RANKS`` virtual ranks
-  (default 65536): cells and cores grow proportionally so per-rank load
-  matches the calibrated 1024-rank baseline that ``benchmarks/
-  budgets.json`` pins.  The profiled run must respect **every** budget
-  ceiling, use only registered spans, and retain >= 90% wall-time
-  attribution in the profiler -- the same bar ``bench_profile.py`` sets
-  for the canonical workload.
-- **Engine throughput scales to 1M ranks.**  A pure engine-layer stress
-  (no workflow, no adapter) batch-schedules per-rank compute and
-  transfer bursts with ``EventKernel.schedule_batch`` and drains them
-  with batched dispatch, sweeping 64K -> 1M ranks.  Each scale must
-  sustain a conservative events/second floor, and the whole sweep must
-  complete in seconds -- the array-backed heap's ``pop_run`` extracts a
-  million-record burst with one lexsort, not a million Python sifts.
-
-``REPRO_KERNEL_RANKS`` caps both tests (the CI kernel-smoke job sets it
-low); the sweep also prints per-scale events/sec so BENCH snapshots of
-this file are comparable across revisions.
+The quickstart workload is weak-scaled to ``REPRO_KERNEL_RANKS``
+virtual ranks (default and ceiling 65536): cells and cores grow
+proportionally so per-rank load matches the calibrated 1024-rank
+baseline that ``benchmarks/budgets.json`` pins.  The profiled run must
+respect **every** budget ceiling, use only registered spans, and retain
+>= 90% wall-time attribution in the profiler -- the same bar
+``bench_profile.py`` sets for the canonical workload.  The CI
+kernel-smoke job sets a lower rank count.
 """
 
 import os
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.hpc.kernel import COMPUTE, TRANSFER, EventKernel
 from repro.hpc.systems import titan
 from repro.observability import (
     Profiler,
@@ -45,28 +28,15 @@ from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
 
 BUDGETS_PATH = Path(__file__).parent / "budgets.json"
 
-#: Rank ceiling for the whole file.  The CI kernel-smoke job reduces it;
-#: the floor keeps the weak-scaling arithmetic (cells and cores
-#: proportional to ranks) meaningful.
-_RANKS = max(1024, int(os.environ.get("REPRO_KERNEL_RANKS", "1048576")))
-
-#: The budget-checked fig-scale rank count.  Budgets are calibrated for
-#: per-step work, which is rank-independent on the event path but not on
-#: the vectorized per-rank path (``workload.build`` grows with ranks),
-#: so the ceilings are asserted at the acceptance scale, not at 1M.
-_BUDGET_RANKS = min(_RANKS, 65536)
-
-#: The engine-stress sweep: every power-of-4 scale up to ``_RANKS``.
-_SWEEP = tuple(r for r in (65536, 262144, 1048576) if r <= _RANKS) or (_RANKS,)
-
-#: Rounds of per-rank compute+transfer bursts per engine-stress scale.
-_ROUNDS = 4
-
-#: Conservative sustained-throughput floor (events/second) for the
-#: engine stress -- an order of magnitude under measured rates, so only
-#: a real batching regression (e.g. pop_run falling back to per-record
-#: sifts) trips it, not a noisy CI box.
-_MIN_EVENTS_PER_SEC = 50_000
+#: The budget-checked rank count.  Budgets are calibrated for per-step
+#: work, which is rank-independent on the event path but not on the
+#: vectorized per-rank path (``workload.build`` grows with ranks), so the
+#: ceilings are asserted at the acceptance scale and never above it.  The
+#: floor keeps the weak-scaling arithmetic (cells and cores proportional
+#: to ranks) meaningful.
+_BUDGET_RANKS = min(
+    65536, max(1024, int(os.environ.get("REPRO_KERNEL_RANKS", "65536")))
+)
 
 
 def _scaled_quickstart(nranks: int, steps: int, seed: int):
@@ -138,58 +108,3 @@ def test_kernel_fig_scale_under_budgets(once):
         f"profiler attributes only {attribution:.1%} of the "
         f"{state['wall']:.3f}s wall time (floor: 90%)"
     )
-
-
-def _engine_stress(nranks: int) -> tuple[EventKernel, float]:
-    """Drain ``_ROUNDS`` per-rank compute+transfer bursts, batched.
-
-    Every round batch-schedules one compute and one transfer event per
-    virtual rank, jittered over four distinct timestamps, then drains
-    the heap with batched dispatch.  Returns the kernel (for its
-    counters) and the wall seconds spent.
-    """
-    kernel = EventKernel(rng=42)
-    sink = []
-    kernel.on(COMPUTE, sink.append)
-    kernel.on(TRANSFER, sink.append)
-    ranks = np.arange(nranks)
-    started = time.perf_counter()
-    for _ in range(_ROUNDS):
-        base = kernel.now
-        jitter = np.floor(kernel.rng.random(nranks) * 4)
-        kernel.schedule_batch(base + 1.0 + jitter, COMPUTE, ranks)
-        kernel.schedule_batch(base + 2.0 + jitter, TRANSFER, ranks)
-        kernel.run()
-    wall = time.perf_counter() - started
-    assert len(sink) == kernel.counters.batches
-    return kernel, wall
-
-
-def test_kernel_engine_scaling_sweep(once):
-    """Batched dispatch sustains the throughput floor at every scale."""
-
-    def _sweep():
-        rows = []
-        for nranks in _SWEEP:
-            kernel, wall = _engine_stress(nranks)
-            processed = kernel.counters.total_processed
-            rows.append(
-                (nranks, processed, wall, processed / wall,
-                 kernel.counters.batches, kernel.heap.peak_size)
-            )
-        return rows
-
-    rows = once(_sweep)
-    print(f"\n{'ranks':>9} {'events':>10} {'wall (s)':>9} "
-          f"{'events/s':>11} {'batches':>8} {'peak heap':>10}")
-    for nranks, processed, wall, rate, batches, peak in rows:
-        print(f"{nranks:>9,} {processed:>10,} {wall:>9.3f} "
-              f"{rate:>11,.0f} {batches:>8} {peak:>10,}")
-
-    for nranks, processed, wall, rate, batches, peak in rows:
-        assert processed == 2 * _ROUNDS * nranks
-        assert peak == 2 * nranks
-        assert rate >= _MIN_EVENTS_PER_SEC, (
-            f"{nranks} ranks: {rate:,.0f} events/s is under the "
-            f"{_MIN_EVENTS_PER_SEC:,} floor"
-        )

@@ -2,12 +2,11 @@
 """Kernel scaling: events/sec and wall-time attribution vs. rank count.
 
 The typed event kernel (``repro.hpc.kernel``, see ``docs/kernel.md``)
-is what lets fig-scale experiments run at 64K-1M virtual ranks in
-seconds: per-rank event bursts are admitted with one vectorized
-``schedule_batch`` and drained in batched same-``(time, kind)`` runs
-instead of a Python sift per record.  This example sweeps a weak-scaled
-quickstart workload over increasing rank counts and, for each scale,
-prints:
+dispatches one :mod:`heapq` record at a time.  A coupled run stays cheap
+at 64K+ virtual ranks because per-rank work is vectorized inside each
+step, not evented: the event count per run does not grow with the rank
+count.  This example sweeps a weak-scaled quickstart workload over
+increasing rank counts and, for each scale, prints:
 
 - the host wall seconds for the whole run (build + setup + run);
 - the kernel's always-on event tally and the resulting events/sec;
@@ -16,8 +15,8 @@ prints:
   (nearly) all of the measured wall time.
 
 ``benchmarks/bench_kernel.py`` is the enforced version of this sweep
-(budget ceilings, throughput floors, 1M-rank stress); this example
-keeps the rank counts modest so it runs in about a second.
+(budget ceilings at 64K ranks); this example keeps the rank counts
+modest so it runs in about a second.
 
 Run:  python examples/kernel_scaling.py
 """
@@ -30,7 +29,7 @@ from repro.workflow import CoupledWorkflow, Mode, WorkflowConfig
 from repro.workload import SyntheticAMRConfig, synthetic_amr_trace
 
 #: Weak-scaling sweep: modest by default so the example (and its smoke
-#: test) stays fast; bench_kernel.py pushes the same shape to 1M.
+#: test) stays fast; bench_kernel.py checks the 64K point's budgets.
 SWEEP = (4096, 16384, 65536)
 
 STEPS = 20

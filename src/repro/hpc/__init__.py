@@ -2,9 +2,10 @@
 
 This package substitutes for the leadership-class systems the paper ran on
 (Intrepid IBM BG/P and Titan Cray XK7).  It provides a typed
-discrete-event engine over an array-backed heap (:mod:`repro.hpc.kernel`,
-see ``docs/kernel.md``), the deterministic generator-process adapter on
-top of it (:mod:`repro.hpc.event`), waitable resources
+discrete-event engine over a :mod:`heapq` event list
+(:mod:`repro.hpc.kernel`, see ``docs/kernel.md``), the deterministic
+generator-process adapter on top of it (:mod:`repro.hpc.event`),
+waitable resources
 (:mod:`repro.hpc.resources`), a machine model with nodes, cores and
 memory accounting (:mod:`repro.hpc.machine`), an interconnect model
 with processor-sharing bandwidth allocation (:mod:`repro.hpc.network`),
@@ -23,11 +24,8 @@ from repro.hpc.event import (
 )
 from repro.hpc.kernel import (
     KERNEL_EVENT_KINDS,
-    EventHeap,
     EventKernel,
     KernelCounters,
-    ReferenceEventHeap,
-    batched_event_kinds,
     event_kind_code,
     event_kind_name,
     register_event_kind,
@@ -42,7 +40,6 @@ __all__ = [
     "AnyOf",
     "CoreAllocation",
     "Event",
-    "EventHeap",
     "EventKernel",
     "Interrupt",
     "KERNEL_EVENT_KINDS",
@@ -54,14 +51,12 @@ __all__ = [
     "Node",
     "Partition",
     "Process",
-    "ReferenceEventHeap",
     "Resource",
     "Simulator",
     "Store",
     "SystemSpec",
     "Timeout",
     "Transfer",
-    "batched_event_kinds",
     "build_workflow_machine",
     "event_kind_code",
     "event_kind_name",

@@ -94,8 +94,6 @@ PROFILE_SPANS: dict[str, str] = {
     "worker",
     "workload.build": "application layer: synthesizing the workload "
     "trace the run replays",
-    "kernel.dispatch": "engine layer: one batched event dispatch (a "
-    "same-time, same-kind run handed to its handler in one call)",
 }
 
 

@@ -264,7 +264,6 @@ class WorkflowService:
     ):
         self.spec = spec if spec is not None else titan()
         self.sim = Simulator(profiler=profiler)
-        self.sim.kernel.on(TENANT_KIND, self.sim._call_payload, batch=False)
         self.machine, self.network = build_workflow_machine(
             self.sim, self.spec, sim_cores, staging_cores
         )
