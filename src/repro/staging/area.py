@@ -524,7 +524,11 @@ class StagingArea:
         remaining = 0.0
         if self._running is not None:
             remaining += max(0.0, self._running_ends_at - self.sim.now)
-        remaining += self._queued_work / (self.core_rate * self._active_cores)
+        # Float residue of the submit/serve additions can leave the queue
+        # total a hair below zero once it drains; an empty queue owes
+        # no time.
+        queued = max(0.0, self._queued_work)
+        remaining += queued / (self.core_rate * self._active_cores)
         return remaining
 
     def utilization_efficiency(self) -> float:

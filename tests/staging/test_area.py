@@ -104,6 +104,18 @@ class TestRemainingTimeEstimate:
         sim.run(job.done)
         assert area.estimated_remaining_time() == pytest.approx(0.0)
 
+    def test_float_residue_never_goes_negative(self, sim):
+        # (0.3 + 0.6) - 0.3 - 0.6 is -1.1e-16 in floating point: the
+        # drained queue total lands below zero, and the snapshot check
+        # on est_intransit_remaining used to abort the run.
+        area = make_area(sim, cores=4, rate=10.0)
+        jobs = [area.submit(step, 10.0, work)
+                for step, work in enumerate((0.3, 0.6))]
+        sim.run(sim.all_of([job.done for job in jobs]))
+        assert area._queued_work < 0.0
+        assert area.estimated_remaining_time() == 0.0
+        assert not area.busy
+
 
 class TestResizeAndUtilization:
     def test_resize_changes_future_service(self, sim):

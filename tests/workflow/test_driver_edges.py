@@ -113,3 +113,32 @@ class TestStaticModesIgnoreHints:
         result = run_workflow(config, trace())
         assert all(m.factor == 1 for m in result.steps)
         assert all(m.data_bytes_out == m.data_bytes_full for m in result.steps)
+
+
+class TestQueuedWorkResidue:
+    @pytest.mark.parametrize(
+        "mode", [Mode.ADAPTIVE_RESOURCE, Mode.ADAPTIVE_APPLICATION]
+    )
+    def test_table2_run_completes(self, mode):
+        # The 8K-core Table-2 scale with trace seed 1 drains the staging
+        # queue to a negative float residue; its monitor snapshot used to
+        # raise PolicyError "est_intransit_remaining must be non-negative".
+        from dataclasses import replace
+
+        from repro.experiments.cache import ExperimentCache
+        from repro.experiments.common import (
+            ANALYSIS_COST_PER_CELL,
+            SCALES,
+            advection_trace,
+        )
+
+        scale = replace(SCALES[2], seed=1)
+        config = WorkflowConfig(
+            mode=mode, sim_cores=scale.sim_cores,
+            staging_cores=scale.staging_cores, spec=titan(),
+            analysis_cost_per_cell=ANALYSIS_COST_PER_CELL,
+        )
+        workload = advection_trace(scale, cache=ExperimentCache())
+        result = run_workflow(config, workload)
+        result.validate()
+        assert len(result.steps) == scale.steps
