@@ -25,7 +25,7 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.clustering import cluster_tags
 from repro.amr.coarsefine import restrict
-from repro.amr.layout import BoxLayout
+from repro.amr.layout import BoxLayout, overlap_pairs, region_indices
 from repro.amr.level import LevelData
 from repro.amr.tagging import buffer_tags
 from repro.errors import HierarchyError
@@ -172,9 +172,10 @@ class AMRHierarchy:
         the same-level exchange that always follows, and the valid
         interior is never touched.  Those surviving cells are gathered in
         one vectorized pass from a single dense coarse array per call,
-        with van-Leer slopes evaluated only at their parent cells --
-        bit-identical to prolonging each box's whole grown region because
-        the limited slopes are local (one coarse neighbour per side).
+        with van-Leer slopes evaluated once per distinct parent cell and
+        expanded to its fine children -- bit-identical to prolonging each
+        box's whole grown region because the limited slopes are local (one
+        coarse neighbour per side).
 
         When regridding creates new boxes (``include_interior``) the same
         gather covers the valid cells instead; ghost cells are left as
@@ -201,11 +202,11 @@ class AMRHierarchy:
         mode = "wrap" if self.periodic else "edge"
         padded = np.pad(dense, [(0, 0)] + [(pad, pad)] * ndim, mode=mode)
 
-        parent, offsets, scatter = plan
+        parent, inv, offsets, scatter = plan
         flat = padded.reshape(self.ncomp, -1)
         strides = _flat_strides(padded.shape[1:])
         cur = flat[:, parent]
-        vals = cur
+        vals = cur[:, inv]
         for axis in range(ndim):
             st = strides[axis]
             nxt = flat[:, parent + st]
@@ -218,23 +219,26 @@ class AMRHierarchy:
             same_sign = (fwd * bwd) > 0
             mag = np.minimum(np.abs(central), 2 * np.minimum(np.abs(fwd), np.abs(bwd)))
             slope = np.where(same_sign, np.sign(central) * mag, 0.0)
-            vals = vals + slope * offsets[axis]
+            vals = vals + slope[:, inv] * offsets[axis]
         for i, dst, start, stop in scatter:
             fine.data.data[i].reshape(self.ncomp, -1)[:, dst] = vals[:, start:stop]
 
     def _ghost_fill_plan(
         self, level: int, pad: int, interior: bool = False
-    ) -> tuple[np.ndarray, list[np.ndarray], list] | None:
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list] | None:
         """Gather/scatter plan for the coarse-fine ghost fill of ``level``.
 
-        For every fine box, the plan lists the ghost cells *not* covered by
-        any same-level neighbour (those are the cells whose interpolated
-        values survive the subsequent exchange), their parent cell's flat
-        index in the padded dense coarse array, and the per-axis fractional
-        offsets of the fine centres inside the parent cell.  With
-        ``interior`` the plan instead covers each box's valid cells (the
-        regrid fill).  Layouts are immutable, so the plan is cached on the
-        fine layout.  Returns ``None`` when no cell needs interpolation.
+        For every fine box, the plan lists the ghost cells whose wrapped
+        index no box of the level covers (those are the cells whose
+        interpolated values survive the subsequent exchange), read from one
+        padded coverage array of the level.  It stores the distinct parent
+        cells as flat indices into the padded dense coarse array, the
+        inverse map from each listed cell to its parent, and the per-axis
+        fractional offsets of the fine centres inside the parent cell.
+        With ``interior`` the plan instead covers each box's valid cells
+        (the regrid fill).  Layouts are immutable, so the plan is cached
+        on the fine layout.  Returns ``None`` when no cell needs
+        interpolation.
         """
         fine = self.levels[level]
         layout = fine.layout
@@ -249,55 +253,55 @@ class AMRHierarchy:
         if key in cache:
             return cache[key]
         ndim = cdomain.ndim
-        level_domain = self.level_domain(level)
-        domain_arg = level_domain if self.periodic else None
-        pshape = tuple(s + 2 * pad for s in cdomain.shape)
-        strides = _flat_strides(pshape)
+        strides = _flat_strides(tuple(s + 2 * pad for s in cdomain.shape))
         # Same table prolong uses: (k + 0.5)/ratio - 0.5 per fine sub-cell.
         offs_table = (np.arange(r) + 0.5) / r - 0.5
-        parent_parts: list[np.ndarray] = []
-        offset_parts: list[list[np.ndarray]] = [[] for _ in range(ndim)]
-        scatter: list[tuple[int, np.ndarray, int, int]] = []
-        total = 0
-        for i, box in enumerate(layout):
-            grown = box.grow(g)
-            if interior:
-                mask = np.zeros(grown.shape, dtype=bool)
-                mask[box.slices(origin=grown)] = True
+        los, his = layout._corner_arrays()
+        grown = his - los + 1 + 2 * g
+        shapes = grown.tolist()
+        if not interior:
+            # Covered cells of the level, padded by g: periodic images wrap
+            # around, and past a physical boundary every ghost belongs to
+            # fill_physical, so counts as covered.
+            fdomain = self.level_domain(level)
+            flo = np.array(fdomain.lo)
+            starts = (los - flo).tolist()
+            covered = np.zeros(fdomain.shape, dtype=bool)
+            for start, stop in zip(starts, (his + 1 - flo).tolist()):
+                covered[tuple(map(slice, start, stop))] = True
+            if self.periodic:
+                covered = np.pad(covered, g, mode="wrap")
             else:
-                mask = np.ones(grown.shape, dtype=bool)
-                mask[box.slices(origin=grown)] = False
-                if not self.periodic:
-                    # Ghosts past the physical boundary belong to fill_physical.
-                    keep = np.zeros(grown.shape, dtype=bool)
-                    inside = grown.intersect(level_domain)
-                    if not inside.is_empty():
-                        keep[inside.slices(origin=grown)] = True
-                    mask &= keep
-                for j, shift in layout.neighbors(i, radius=g, periodic_domain=domain_arg):
-                    covered = grown.intersect(layout.boxes[j].shift(shift))
-                    if covered.is_empty():
-                        continue
-                    mask[covered.slices(origin=grown)] = False
-            idx = np.nonzero(mask.ravel())[0]
-            if idx.size == 0:
-                continue
-            coords = np.unravel_index(idx, grown.shape)
-            pidx = np.zeros(idx.size, dtype=np.int64)
-            for axis in range(ndim):
-                gx = coords[axis].astype(np.int64) + grown.lo[axis]
-                pc = gx // r
-                offset_parts[axis].append(offs_table[gx - pc * r])
-                pidx += (pc - (cdomain.lo[axis] - pad)) * strides[axis]
-            parent_parts.append(pidx)
-            scatter.append((i, idx, total, total + idx.size))
-            total += idx.size
-        if total == 0:
-            plan = None
-        else:
-            parent = np.concatenate(parent_parts)
-            offsets = [np.concatenate(parts) for parts in offset_parts]
-            plan = (parent, offsets, scatter)
+                covered = np.pad(covered, g, constant_values=True)
+        idx_parts = []
+        for i, shape in enumerate(shapes):
+            if interior:
+                mask = np.zeros(shape, dtype=bool)
+                mask[tuple(slice(g, n - g) for n in shape)] = True
+            else:
+                mask = ~covered[tuple(slice(a, a + n) for a, n in zip(starts[i], shape))]
+            idx_parts.append(np.flatnonzero(mask))
+        counts = [part.size for part in idx_parts]
+        if not any(counts):
+            cache[key] = None
+            return None
+        # Unravel every listed cell against its own box's grown shape.
+        rem = np.concatenate(idx_parts)
+        box = np.repeat(np.arange(len(counts)), counts)
+        parent = np.zeros(rem.size, dtype=np.int64)
+        offsets = []
+        for axis in range(ndim - 1, -1, -1):
+            extent = grown[box, axis]
+            gx = rem % extent + (los[box, axis] - g)
+            rem = rem // extent
+            pc = gx // r
+            offsets.insert(0, offs_table[gx - pc * r])
+            parent += (pc - (cdomain.lo[axis] - pad)) * strides[axis]
+        stops = np.cumsum(counts).tolist()
+        scatter = [(i, part, stop - part.size, stop)
+                   for i, (part, stop) in enumerate(zip(idx_parts, stops)) if part.size]
+        parent, inv = np.unique(parent, return_inverse=True)
+        plan = (parent, inv, offsets, scatter)
         cache[key] = plan
         return plan
 
@@ -333,45 +337,35 @@ class AMRHierarchy:
                     averaged[i] = res[slot]
         # Scatter into the coarse boxes each restriction overlaps, using
         # the cached (fine layout, coarse layout) overlap plan.
-        for i, entries in self._avgdown_plan(fine, coarse):
-            arr = averaged[i]
-            for j, dst_idx, src_idx in entries:
-                coarse.data.data[j][dst_idx] = arr[src_idx]
+        for i, j, dst_idx, src_idx in self._avgdown_plan(fine, coarse):
+            coarse.data.data[j][dst_idx] = averaged[i][src_idx]
 
     def _avgdown_plan(self, fine: LevelSpec, coarse: LevelSpec) -> list:
-        """Cached overlap plan ``[(fine_i, [(coarse_j, dst_idx, src_idx)])]``.
+        """Cached overlap plan ``[(fine_i, coarse_j, dst_idx, src_idx)]``.
 
-        Pair finding is vectorized over the corner arrays of both layouts;
-        the plan is cached on the fine layout and rebuilt when the coarse
-        layout object changes (the stored reference also keeps it alive,
-        so an ``is`` check can never alias a recycled object).
+        Pairs come from :func:`~repro.amr.layout.overlap_pairs` over the
+        coarsened fine corners and the coarse corners; the plan is cached
+        on the fine layout and rebuilt when the coarse layout object
+        changes (the stored reference also keeps it alive, so an ``is``
+        check can never alias a recycled object).
         """
         r = self.ref_ratio
-        key = (r, coarse.data.nghost)
+        cg = coarse.data.nghost
+        key = (r, cg)
         cache = getattr(fine.layout, "_avgdown_plans", None)
         if cache is not None:
             entry = cache.get(key)
             if entry is not None and entry[0] is coarse.layout:
                 return entry[1]
         flos, fhis = fine.layout._corner_arrays()
-        clos, chis = coarse.layout._corner_arrays()
         cf_lo = flos // r  # floor division, matching Box.coarsen
-        cf_hi = fhis // r
-        overlap = (
-            (cf_lo[:, None, :] <= chis[None, :, :])
-            & (clos[None, :, :] <= cf_hi[:, None, :])
-        ).all(axis=2)
-        plan = []
-        for i in range(len(fine.layout)):
-            cbox = fine.layout.boxes[i].coarsen(r)
-            entries = []
-            for j in np.nonzero(overlap[i])[0]:
-                region = cbox.intersect(coarse.layout.boxes[j])
-                dst_idx = (slice(None), *region.slices(origin=coarse.data.grown_box(j)))
-                src_idx = (slice(None), *region.slices(origin=cbox))
-                entries.append((int(j), dst_idx, src_idx))
-            if entries:
-                plan.append((i, entries))
+        clos, chis = coarse.layout._corner_arrays()
+        i, j, _, lo, hi = overlap_pairs((cf_lo, fhis // r), (clos, chis))
+        plan = list(zip(
+            i.tolist(), j.tolist(),
+            region_indices(lo, hi, clos[j] - cg),
+            region_indices(lo, hi, cf_lo[i]),
+        ))
         if cache is None:
             cache = {}
             fine.layout._avgdown_plans = cache

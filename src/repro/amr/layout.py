@@ -14,6 +14,8 @@ and memory for the staging experiments.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property, reduce
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -21,7 +23,9 @@ import numpy as np
 from repro.amr.box import Box
 from repro.errors import GeometryError
 
-__all__ = ["BoxLayout", "load_balance"]
+__all__ = [
+    "BoxLayout", "image_shifts", "load_balance", "overlap_pairs", "region_indices",
+]
 
 
 def load_balance(boxes: Sequence[Box], nranks: int) -> list[int]:
@@ -93,18 +97,13 @@ class BoxLayout:
         return self._los, self._his
 
     def _verify_disjoint(self) -> None:
-        los, his = self._corner_arrays()
-        # Pairwise overlap test, vectorized: boxes i, j overlap iff
-        # lo_i <= hi_j and lo_j <= hi_i in every direction.
-        overlap = (
-            (los[:, None, :] <= his[None, :, :])
-            & (los[None, :, :] <= his[:, None, :])
-        ).all(axis=2)
-        np.fill_diagonal(overlap, False)
-        if overlap.any():
-            i, j = np.argwhere(overlap)[0]
+        corners = self._corner_arrays()
+        i, j, _, _, _ = overlap_pairs(corners, corners)
+        clash = np.nonzero(i != j)[0]
+        if clash.size:
+            k = clash[0]
             raise GeometryError(
-                f"layout boxes overlap: {self.boxes[i]} and {self.boxes[j]}"
+                f"layout boxes overlap: {self.boxes[i[k]]} and {self.boxes[j[k]]}"
             )
 
     # -- queries ------------------------------------------------------------
@@ -120,7 +119,7 @@ class BoxLayout:
     def __iter__(self) -> Iterator[Box]:
         return iter(self.boxes)
 
-    @property
+    @cached_property
     def total_cells(self) -> int:
         """Sum of cells across all boxes."""
         return sum(box.size for box in self.boxes)
@@ -150,48 +149,66 @@ class BoxLayout:
         hi = tuple(max(b.hi[d] for b in self.boxes) for d in range(self.ndim))
         return Box(lo, hi)
 
-    def neighbors(self, index: int, radius: int = 1, periodic_domain: Box | None = None
-                  ) -> list[tuple[int, tuple[int, ...]]]:
-        """Boxes whose data a ghost region of ``radius`` around box ``index`` needs.
 
-        Returns ``(other_index, shift)`` pairs where ``shift`` is the
-        periodic image offset (all zeros for a direct neighbour).  With a
-        ``periodic_domain``, images shifted by full domain extents are
-        considered in every direction.
+Corners = tuple[np.ndarray, np.ndarray]
 
-        Layouts are immutable, so results are cached: ghost exchange runs
-        every time step but the neighbour graph only changes at regrids.
-        """
-        cache_key = (index, radius, periodic_domain)
-        cache = getattr(self, "_neighbor_cache", None)
-        if cache is None:
-            cache = {}
-            self._neighbor_cache = cache
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
-        me = self.boxes[index].grow(radius)
-        me_lo = np.array(me.lo, dtype=np.int64)
-        me_hi = np.array(me.hi, dtype=np.int64)
-        zero = tuple(0 for _ in range(self.ndim))
-        shifts: list[tuple[int, ...]] = [zero]
-        if periodic_domain is not None and not periodic_domain.contains_box(me):
-            # Wrap-around images only matter when the grown box spills
-            # past the domain boundary.
-            extents = periodic_domain.shape
-            offsets: list[Sequence[int]] = [(-e, 0, e) for e in extents]
-            grid = np.stack(np.meshgrid(*offsets, indexing="ij"), -1)
-            shifts = [tuple(int(v) for v in s) for s in grid.reshape(-1, self.ndim)]
-        los, his = self._corner_arrays()
-        results: list[tuple[int, tuple[int, ...]]] = []
-        for shift in shifts:
-            offset = np.array(shift, dtype=np.int64)
-            mask = (
-                ((los + offset) <= me_hi) & ((his + offset) >= me_lo)
-            ).all(axis=1)
-            for j in np.nonzero(mask)[0]:
-                if j == index and shift == zero:
-                    continue
-                results.append((int(j), shift))
-        cache[cache_key] = results
-        return results
+
+def image_shifts(periodic_domain: Box | None, ndim: int) -> np.ndarray:
+    """``(nshift, ndim)`` periodic image offsets, row-major over ``{-e, 0, e}``.
+
+    Without a domain the only image is the box itself (one zero shift).
+    """
+    if periodic_domain is None:
+        return np.zeros((1, ndim), dtype=np.int64)
+    offsets = [(-e, 0, e) for e in periodic_domain.shape]
+    return np.array(list(product(*offsets)), dtype=np.int64)
+
+
+def overlap_pairs(
+    dst: Corners, src: Corners, radius: int = 0, shifts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every overlap of a ``dst`` box grown by ``radius`` with a shifted ``src`` box.
+
+    ``dst`` and ``src`` are ``(los, his)`` corner arrays of shape
+    ``(n, ndim)`` (inclusive corners, as :meth:`BoxLayout._corner_arrays`
+    returns).  Returns ``(i, j, shift, lo, hi)``: for each overlapping
+    pair, the dst index, the src index, the ``(ndim,)`` image shift applied
+    to the src box and the inclusive corners of the overlap region.  Hits
+    are ordered by dst, then shift, then src.
+
+    Overlap is tested per axis and per distinct shift component on
+    ``(ndst, nsrc)`` boolean masks; only the hits get a region, so nothing
+    of size ``ndst * nshift * nsrc * ndim`` is ever materialized.
+    """
+    dlo, dhi = dst[0] - radius, dst[1] + radius
+    slo, shi = src
+    if shifts is None:
+        shifts = image_shifts(None, dlo.shape[1])
+    axis_masks = [
+        {off: (slo[None, :, d] + off <= dhi[:, None, d])
+         & (shi[None, :, d] + off >= dlo[:, None, d])
+         for off in set(shifts[:, d].tolist())}
+        for d in range(dlo.shape[1])
+    ]
+    pairs = [np.nonzero(reduce(np.logical_and, [m[o] for m, o in zip(axis_masks, shift)]))
+             for shift in shifts.tolist()]
+    i, j = (np.concatenate(parts) for parts in zip(*pairs))
+    s = np.repeat(np.arange(len(pairs)), [p[0].size for p in pairs])
+    order = np.argsort(i, kind="stable")
+    i, j, shift = i[order], j[order], shifts[s[order]]
+    lo = np.maximum(dlo[i], slo[j] + shift)
+    hi = np.minimum(dhi[i], shi[j] + shift)
+    return i, j, shift, lo, hi
+
+
+def region_indices(lo: np.ndarray, hi: np.ndarray, origin: np.ndarray) -> list[tuple]:
+    """``(:, *slices)`` index of each inclusive region ``lo..hi``.
+
+    ``lo``, ``hi`` and ``origin`` are ``(n, ndim)`` arrays; region ``k``
+    is indexed in a ``(ncomp, ...)`` box array whose first cell sits at
+    ``origin[k]``.
+    """
+    return [
+        (slice(None), *map(slice, start, stop))
+        for start, stop in zip((lo - origin).tolist(), (hi + 1 - origin).tolist())
+    ]

@@ -15,7 +15,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.layout import BoxLayout
+from repro.amr.layout import BoxLayout, image_shifts, overlap_pairs, region_indices
 from repro.errors import GeometryError
 
 __all__ = ["LevelData"]
@@ -52,9 +52,9 @@ class LevelData:
 
     def valid_view(self, index: int) -> np.ndarray:
         """View of the interior (non-ghost) cells of box ``index``."""
-        box = self.layout.boxes[index]
-        slc = box.slices(origin=self.grown_box(index))
-        return self.data[index][(slice(None), *slc)]
+        g = self.nghost
+        arr = self.data[index]
+        return arr[(slice(None), *(slice(g, n - g) for n in arr.shape[1:]))]
 
     @property
     def nbytes(self) -> int:
@@ -136,20 +136,20 @@ class LevelData:
         plan = cache.get(key)
         if plan is not None:
             return plan
-        plan = []
-        for i in range(len(self.layout)):
-            dst_origin = self.grown_box(i)
-            for j, shift in self.layout.neighbors(
-                i, radius=self.nghost, periodic_domain=periodic_domain
-            ):
-                src_box = self.layout.boxes[j].shift(shift)
-                region = dst_origin.intersect(src_box)
-                if region.is_empty():
-                    continue
-                src_origin = self.grown_box(j).shift(shift)
-                dst_idx = (slice(None), *region.slices(origin=dst_origin))
-                src_idx = (slice(None), *region.slices(origin=src_origin))
-                plan.append((i, j, dst_idx, src_idx, region.size))
+        g = self.nghost
+        corners = self.layout._corner_arrays()
+        i, j, shift, lo, hi = overlap_pairs(
+            corners, corners, g, image_shifts(periodic_domain, self.layout.ndim)
+        )
+        keep = (i != j) | shift.any(axis=1)
+        i, j, shift, lo, hi = i[keep], j[keep], shift[keep], lo[keep], hi[keep]
+        origins = corners[0] - g
+        plan = list(zip(
+            i.tolist(), j.tolist(),
+            region_indices(lo, hi, origins[i]),
+            region_indices(lo, hi, origins[j] + shift),
+            np.prod(hi - lo + 1, axis=1).tolist(),
+        ))
         cache[key] = plan
         return plan
 
@@ -198,20 +198,15 @@ class LevelData:
             raise GeometryError("component count mismatch in copy_overlap_from")
         if self.layout.ndim != other.layout.ndim:
             raise GeometryError("dimension mismatch in copy_overlap_from")
-        # Vectorized pair finding: boxes i, j overlap iff lo_i <= hi_j and
-        # lo_j <= hi_i per direction.  argwhere returns row-major order,
-        # matching the nested loop this replaces.
-        dlos, dhis = self.layout._corner_arrays()
-        slos, shis = other.layout._corner_arrays()
-        overlap = (
-            (dlos[:, None, :] <= shis[None, :, :])
-            & (slos[None, :, :] <= dhis[:, None, :])
-        ).all(axis=2)
-        for i, j in np.argwhere(overlap):
-            region = self.layout.boxes[i].intersect(other.layout.boxes[j])
-            dst_slc = region.slices(origin=self.grown_box(i))
-            src_slc = region.slices(origin=other.grown_box(j))
-            self.data[i][(slice(None), *dst_slc)] = other.data[j][(slice(None), *src_slc)]
+        dst = self.layout._corner_arrays()
+        src = other.layout._corner_arrays()
+        i, j, _, lo, hi = overlap_pairs(dst, src)
+        for a, b, dst_idx, src_idx in zip(
+            i.tolist(), j.tolist(),
+            region_indices(lo, hi, dst[0][i] - self.nghost),
+            region_indices(lo, hi, src[0][j] - other.nghost),
+        ):
+            self.data[a][dst_idx] = other.data[b][src_idx]
 
     def to_dense(self, region: Box | None = None, fill: float = np.nan) -> np.ndarray:
         """Assemble a dense ``(ncomp, *region.shape)`` array of interior data.

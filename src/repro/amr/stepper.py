@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.amr.fluxregister import assemble_dense_fluxes
+from repro.amr.fluxregister import FluxRegister, assemble_dense_fluxes
 from repro.amr.hierarchy import AMRHierarchy
 from repro.errors import HierarchyError
 
@@ -103,7 +103,7 @@ class AMRStepper:
         self.app = app
         self.regrid_interval = int(regrid_interval)
         self.reflux = bool(reflux)
-        self._registers: dict[tuple[int, int], object] = {}
+        self._registers: dict[int, tuple] = {}  # level -> (fine layout, register)
         self.last_reflux_delta = 0.0
         self.step_count = 0
         self.time = 0.0
@@ -175,26 +175,10 @@ class AMRStepper:
     def _apply_reflux(self, dense_fluxes: dict[int, list[np.ndarray]], dt: float
                       ) -> float:
         """Correct each coarse level against its finer level's fluxes."""
-        from repro.amr.fluxregister import FluxRegister
-
         h = self.hierarchy
         max_delta = 0.0
         for level in range(h.finest_level):
-            fine_layout = h.levels[level + 1].layout
-            key = (level, id(fine_layout))
-            register = self._registers.get(key)
-            if register is None:
-                self._registers = {
-                    k: v for k, v in self._registers.items() if k[0] != level
-                }
-                register = FluxRegister(
-                    h.level_domain(level),
-                    [b.coarsen(h.ref_ratio) for b in fine_layout],
-                    ncomp=h.ncomp,
-                    ref_ratio=h.ref_ratio,
-                    periodic=h.periodic,
-                )
-                self._registers[key] = register
+            register = self._register_for(level)
             register.reset()
             for axis in range(h.domain.ndim):
                 register.add_coarse(axis, dense_fluxes[level][axis], dt)
@@ -203,6 +187,29 @@ class AMRStepper:
                 max_delta, register.apply(h.levels[level].data, h.dx(level))
             )
         return max_delta
+
+    def _register_for(self, level: int) -> FluxRegister:
+        """The flux register between ``level`` and its finer level.
+
+        Cached per level and rebuilt whenever the fine layout object
+        changes.  The stored layout reference keeps that object alive, so
+        the ``is`` check can never match a new layout that reuses a freed
+        one's ``id``.
+        """
+        h = self.hierarchy
+        fine_layout = h.levels[level + 1].layout
+        entry = self._registers.get(level)
+        if entry is None or entry[0] is not fine_layout:
+            register = FluxRegister(
+                h.level_domain(level),
+                [b.coarsen(h.ref_ratio) for b in fine_layout],
+                ncomp=h.ncomp,
+                ref_ratio=h.ref_ratio,
+                periodic=h.periodic,
+            )
+            entry = (fine_layout, register)
+            self._registers[level] = entry
+        return entry[1]
 
     def _do_regrid(self) -> bool:
         h = self.hierarchy

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.fluxregister import FluxRegister, assemble_dense_fluxes
+from repro.amr.fluxregister import assemble_dense_fluxes
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.stepper import AMRApplication, AMRStepper, StepStats
 from repro.errors import HierarchyError
@@ -124,12 +124,11 @@ class SubcycledStepper(AMRStepper):
             for axis in range(h.domain.ndim):
                 register.add_coarse(axis, dense[axis], dt)
         if self.reflux and level > 0:
-            # This level's fluxes are the fine side of the parent's register.
-            parent_key = (level - 1, id(spec.layout))
-            parent_register = self._registers.get(parent_key)
-            if parent_register is not None:
-                for axis in range(h.domain.ndim):
-                    parent_register.add_fine(axis, dense[axis], dt)
+            # This level's fluxes are the fine side of the parent's register,
+            # which the parent's sweep has just reset.
+            parent_register = self._register_for(level - 1)
+            for axis in range(h.domain.ndim):
+                parent_register.add_fine(axis, dense[axis], dt)
 
         if has_finer:
             r = h.ref_ratio
@@ -142,25 +141,6 @@ class SubcycledStepper(AMRStepper):
                     self.last_reflux_delta,
                     register.apply(spec.data, dx),
                 )
-
-    def _register_for(self, level: int) -> FluxRegister:
-        h = self.hierarchy
-        fine_layout = h.levels[level + 1].layout
-        key = (level, id(fine_layout))
-        register = self._registers.get(key)
-        if register is None:
-            self._registers = {
-                k: v for k, v in self._registers.items() if k[0] != level
-            }
-            register = FluxRegister(
-                h.level_domain(level),
-                [b.coarsen(h.ref_ratio) for b in fine_layout],
-                ncomp=h.ncomp,
-                ref_ratio=h.ref_ratio,
-                periodic=h.periodic,
-            )
-            self._registers[key] = register
-        return register
 
     def _fill_ghosts_interp(self, level: int, theta: float | None) -> None:
         """Ghost fill with linear time interpolation of the coarse data."""

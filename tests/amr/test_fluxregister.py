@@ -9,7 +9,10 @@ from repro.amr.fluxregister import FluxRegister, assemble_dense_fluxes
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.layout import BoxLayout
 from repro.amr.level import LevelData
+from repro.amr import stepper as stepper_mod
+from repro.amr import subcycle as subcycle_mod
 from repro.amr.stepper import AMRStepper
+from repro.amr.subcycle import SubcycledStepper
 from repro.errors import HierarchyError
 
 
@@ -145,3 +148,46 @@ class TestRefluxConservation:
         d1 = h1.levels[0].data.to_dense(h1.level_domain(0))
         d2 = h2.levels[0].data.to_dense(h2.level_domain(0))
         assert np.abs(d1 - d2).max() < 0.05
+
+
+def _covered_mask(h):
+    """Coarse cells under the coarsened fine boxes of level 1."""
+    mask = np.zeros(h.domain.shape, dtype=bool)
+    for box in h.levels[1].layout:
+        mask[box.coarsen(h.ref_ratio).slices(origin=h.domain)] = True
+    return mask
+
+
+class TestRegisterCache:
+    @pytest.mark.parametrize("stepper_cls", [AMRStepper, SubcycledStepper])
+    def test_recycled_layout_id_rebuilds_register(self, stepper_cls, monkeypatch):
+        # A level dropped and re-created may get a layout at a freed
+        # object's address.  Make every id collide, the worst case of that
+        # reuse: the register must still follow the current fine layout.
+        monkeypatch.setattr(stepper_mod, "id", lambda obj: 0, raising=False)
+        monkeypatch.setattr(subcycle_mod, "id", lambda obj: 0, raising=False)
+        used = []
+        apply = FluxRegister.apply
+
+        def spy(register, coarse, dx):
+            used.append(register)
+            return apply(register, coarse, dx)
+
+        monkeypatch.setattr(FluxRegister, "apply", spy)
+        h = refined_hierarchy()
+        solver = AdvectionDiffusionSolver((1.0, 0.5), blob_center=(0.35, 0.35))
+        solver.initialize(h)
+        stepper = stepper_cls(h, solver, regrid_interval=0, initialize=False,
+                              reflux=True)
+        stepper.step()
+        old_layout = h.levels[1].layout
+        mask = np.zeros(h.domain.shape, dtype=bool)
+        mask[18:26, 4:12] = True
+        h.regrid({0: mask})
+        assert h.levels[1].layout is not old_layout
+        used.clear()
+        stepper.step()
+        assert used
+        expected = _covered_mask(h)
+        for register in used:
+            assert np.array_equal(register.mask, expected)

@@ -6,8 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
-from repro.amr.layout import BoxLayout, load_balance
+from repro.amr.layout import BoxLayout, image_shifts, load_balance, overlap_pairs
 from repro.errors import GeometryError
+
+
+def neighbors(layout, index, radius, periodic_domain=None):
+    """``(j, shift)`` for each other box or periodic image the ghost region
+    of width ``radius`` around box ``index`` overlaps."""
+    corners = layout._corner_arrays()
+    shifts = image_shifts(periodic_domain, layout.ndim)
+    i, j, shift, _, _ = overlap_pairs(corners, corners, radius, shifts)
+    return [
+        (b, tuple(s))
+        for a, b, s in zip(i.tolist(), j.tolist(), shift.tolist())
+        if a == index and (b != index or any(s))
+    ]
 
 
 def grid_boxes(n, size=4):
@@ -103,15 +116,14 @@ class TestBoxLayout:
         b = Box((4, 0), (7, 3))
         c = Box((20, 20), (23, 23))
         layout = BoxLayout([a, b, c])
-        nbrs = layout.neighbors(0, radius=1)
-        assert [j for j, _ in nbrs] == [1]
+        assert [j for j, _ in neighbors(layout, 0, radius=1)] == [1]
 
     def test_neighbors_periodic_wraparound(self):
         domain = Box((0, 0), (7, 7))
         a = Box((0, 0), (3, 7))
         b = Box((4, 0), (7, 7))
         layout = BoxLayout([a, b])
-        nbrs = layout.neighbors(0, radius=1, periodic_domain=domain)
+        nbrs = neighbors(layout, 0, radius=1, periodic_domain=domain)
         shifts = {shift for j, shift in nbrs if j == 1}
         # b touches a directly on the right and wraps around on the left.
         assert (0, 0) in shifts
@@ -121,5 +133,25 @@ class TestBoxLayout:
         # A box spanning the whole domain is its own periodic neighbour.
         domain = Box((0,), (7,))
         layout = BoxLayout([Box((0,), (7,))])
-        nbrs = layout.neighbors(0, radius=1, periodic_domain=domain)
+        nbrs = neighbors(layout, 0, radius=1, periodic_domain=domain)
         assert any(j == 0 for j, _ in nbrs)
+
+
+class TestOverlapPairs:
+    def test_regions_are_clipped_overlaps(self):
+        dst = BoxLayout([Box((0, 0), (3, 3)), Box((10, 10), (12, 12))])
+        src = BoxLayout([Box((2, 2), (5, 5)), Box((-4, 0), (0, 1))])
+        i, j, shift, lo, hi = overlap_pairs(dst._corner_arrays(), src._corner_arrays())
+        assert i.tolist() == [0, 0]
+        assert j.tolist() == [0, 1]
+        assert not shift.any()
+        assert lo.tolist() == [[2, 2], [0, 0]]
+        assert hi.tolist() == [[3, 3], [0, 1]]
+
+    def test_image_shifts_row_major(self):
+        shifts = image_shifts(Box((0, 0), (7, 3)), 2)
+        assert shifts.shape == (9, 2)
+        assert shifts[0].tolist() == [-8, -4]
+        assert shifts[1].tolist() == [-8, 0]
+        assert shifts[4].tolist() == [0, 0]
+        assert image_shifts(None, 3).tolist() == [[0, 0, 0]]
