@@ -44,11 +44,15 @@ def _shape_groups(arrays) -> list[list[int]]:
     return list(groups.values())
 
 
-# Spatial cells per batched solver call.  Stacking a whole level into one
-# array makes every temporary tens of MB and pushes the update out of
-# cache; chunks of ~1e5 cells keep the working set resident (measured ~6x
-# on a 340-box level) while still amortizing NumPy dispatch overhead.
-_BATCH_CELLS = 1 << 17
+# Cells per batched solver call (ghosted cells in `advance_boxes`), sized
+# so the update runs out of L2.  At 2^14 cells a 5-component float64
+# temporary is 640 KiB, so the two or three operands of one ufunc call fit
+# a 2 MiB per-core L2 together; at 2^17 a single temporary is 5 MiB and
+# every call streams from L3.  Smaller caps pay NumPy's per-call overhead
+# on fewer cells: at 2^13 a 16^3 box (20^3 = 8000 ghosted cells) is
+# already a batch of its own.  The measured sweep and how to re-run it
+# are in docs/performance.md.
+_BATCH_CELLS = 1 << 14
 
 
 def _batches(indices: list[int], cells_per_box: int) -> list[list[int]]:
@@ -116,17 +120,32 @@ class PolytropicGasSolver:
 
     def primitives(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(rho, velocities, pressure)`` from conserved state ``U``."""
+        rho, vel, kinetic = self._kinetic(U)
+        p = np.subtract(U[-1], kinetic, out=kinetic)
+        p *= self.gamma - 1.0
+        np.maximum(p, _P_FLOOR, out=p)
+        return rho, vel, p
+
+    @staticmethod
+    def _kinetic(U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(rho, velocities, kinetic energy)``, density floored."""
         ndim = U.shape[0] - 2
         rho = np.maximum(U[0], _RHO_FLOOR)
         vel = U[1 : 1 + ndim] / rho
-        kinetic = 0.5 * rho * np.sum(vel * vel, axis=0)
-        p = (self.gamma - 1.0) * (U[-1] - kinetic)
-        return rho, vel, np.maximum(p, _P_FLOOR)
+        kinetic = 0.5 * rho
+        kinetic *= np.sum(vel * vel, axis=0)
+        return rho, vel, kinetic
 
     def sound_speed(self, U: np.ndarray) -> np.ndarray:
         """Adiabatic sound speed per cell."""
         rho, _vel, p = self.primitives(U)
-        return np.sqrt(self.gamma * p / rho)
+        return self._sound(rho, p)
+
+    def _sound(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """``sqrt(gamma * p / rho)``, evaluated in that order."""
+        c = p * self.gamma
+        c /= rho
+        return np.sqrt(c, out=c)
 
     # -- protocol ------------------------------------------------------------
 
@@ -157,10 +176,20 @@ class PolytropicGasSolver:
             spec.data.set_from_function(blast, dx=hierarchy.dx(level))
 
     def stable_dt_level(self, spec, dx: float, ndim: int) -> float:
-        """Unsplit CFL limit for one level: ``cfl * dx / sum_d max(|v_d|+c)``."""
+        """Unsplit CFL limit for one level: ``cfl * dx / sum_d max(|v_d|+c)``.
+
+        Raises :class:`GeometryError` naming the box when a box's wave
+        speed is NaN or infinite: skipping it would take a finite step
+        from the healthy boxes and spread the bad state.
+        """
         del ndim
         dt = np.inf
-        for wave in self._level_waves(spec):
+        for i, wave in enumerate(self._level_waves(spec)):
+            if not np.isfinite(wave):
+                raise GeometryError(
+                    f"non-finite wave speed {wave} in box {i} "
+                    f"{spec.layout.boxes[i]} of the level with dx={dx!r}"
+                )
             if wave > 0:
                 dt = min(dt, self.cfl * dx / wave)
         return float(dt)
@@ -188,7 +217,7 @@ class PolytropicGasSolver:
                 # extra spatial axis, the component axis stays first.
                 U = np.stack([spec.data.valid_view(i) for i in indices], axis=1)
             rho, vel, p = self.primitives(U)
-            c = np.sqrt(self.gamma * p / rho)
+            c = self._sound(rho, p)
             for d in range(vel.shape[0]):
                 speeds = np.abs(vel[d]) + c
                 if len(indices) == 1:
@@ -248,9 +277,12 @@ class PolytropicGasSolver:
                     self.advance(arrays[indices[0]], dx, dt)
                     continue
                 stacked = np.stack([arrays[i] for i in indices], axis=1)
-                self._advance_nd(stacked, stacked.ndim - 2, dx, dt)
+                ndim = stacked.ndim - 2
+                self._advance_nd(stacked, ndim, dx, dt)
+                # The update writes only interior cells; ghosts stay as stacked.
+                inner = self._interior(ndim, self.nghost)
                 for slot, i in enumerate(indices):
-                    arrays[i][...] = stacked[:, slot]
+                    arrays[i][(slice(None),) + inner] = stacked[(slice(None), slot) + inner]
 
     def _advance_nd(self, arr: np.ndarray, ndim: int, dx: float, dt: float) -> None:
         self.advance_with_fluxes(arr, dx, dt, self._compute_fluxes_nd(arr, ndim),
@@ -271,6 +303,8 @@ class PolytropicGasSolver:
         lead = arr.ndim - ndim
         U = arr
         interior_idx = (slice(None),) * lead + self._interior(ndim, g)
+        # Start from zeros, not from the first axis term: `0.0 + -0.0` gives
+        # `0.0`, where a copy of a `-0.0` term would keep the sign.
         flux_div = np.zeros_like(U[interior_idx])
         for axis, F in enumerate(fluxes):
             # F has one more entry along `axis` than the interior; difference it.
@@ -278,14 +312,17 @@ class PolytropicGasSolver:
             lo = [slice(None)] * F.ndim
             hi[lead + axis] = slice(1, None)
             lo[lead + axis] = slice(None, -1)
-            flux_div += (F[tuple(hi)] - F[tuple(lo)]) / dx
-        U[interior_idx] -= dt * flux_div
+            diff = F[tuple(hi)] - F[tuple(lo)]
+            diff /= dx
+            flux_div += diff
+        flux_div *= dt
+        U[interior_idx] -= flux_div
         # Floors guard against negative density/pressure from strong shocks.
         interior = U[interior_idx]
-        interior[0] = np.maximum(interior[0], _RHO_FLOOR)
-        rho, vel, p = self.primitives(interior)
-        kinetic = 0.5 * rho * np.sum(vel * vel, axis=0)
-        interior[-1] = np.maximum(interior[-1], kinetic + _P_FLOOR / (self.gamma - 1.0))
+        np.maximum(interior[0], _RHO_FLOOR, out=interior[0])
+        kinetic = self._kinetic(interior)[2]
+        kinetic += _P_FLOOR / (self.gamma - 1.0)
+        np.maximum(interior[-1], kinetic, out=interior[-1])
 
     def tag_cells(self, dense: np.ndarray, level: int, dx: float) -> np.ndarray:
         """Refine on relative undivided density differences (shock tracking)."""
@@ -331,19 +368,18 @@ class PolytropicGasSolver:
 
         # Cells i = -1 .. n (one beyond the interior each way along `axis`).
         center = band(-1, 1)
+        lo = self._axis_slice(lead, ndim, axis, slice(None, -1))
+        hi = self._axis_slice(lead, ndim, axis, slice(1, None))
         if self.order == 1:
-            UL = center[self._axis_slice(lead, ndim, axis, slice(None, -1))]
-            UR = center[self._axis_slice(lead, ndim, axis, slice(1, None))]
-            return UL, UR
-        left = band(-2, 0)
-        right = band(0, 2)
-        dl = center - left
-        dr = right - center
-        slope = self._minmod(dl, dr)
-        recon_l = center + 0.5 * slope  # right face of each cell
-        recon_r = center - 0.5 * slope  # left face of each cell
-        UL = recon_l[self._axis_slice(lead, ndim, axis, slice(None, -1))]
-        UR = recon_r[self._axis_slice(lead, ndim, axis, slice(1, None))]
+            return center[lo], center[hi]
+        # One difference per adjacent pair of cells -2 .. n+1: the left
+        # difference of cell i is diff[i], its right difference diff[i+1].
+        diff = np.diff(band(-2, 2), axis=lead + axis)
+        half = self._minmod(diff[lo], diff[hi])
+        half *= 0.5
+        # Right face of cells -1 .. n-1, left face of cells 0 .. n.
+        UL = center[lo] + half[lo]
+        UR = center[hi] - half[hi]
         return UL, UR
 
     @staticmethod
@@ -355,8 +391,10 @@ class PolytropicGasSolver:
 
     @staticmethod
     def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        same = (a * b) > 0
-        return np.where(same, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+        out = np.where(np.abs(a) < np.abs(b), a, b)
+        # `~(... > 0)`, not `<= 0`: a NaN product must give a zero slope.
+        np.copyto(out, 0.0, where=~(a * b > 0))
+        return out
 
     def _physical_flux(
         self,
@@ -367,25 +405,37 @@ class PolytropicGasSolver:
         rho, vel, p = self.primitives(U) if prims is None else prims
         vd = vel[axis]
         F = np.empty_like(U)
-        F[0] = rho * vd
+        np.multiply(rho, vd, out=F[0])
         for k in range(vel.shape[0]):
-            F[1 + k] = rho * vel[k] * vd
+            np.multiply(rho, vel[k], out=F[1 + k])
+            F[1 + k] *= vd
         F[1 + axis] += p
-        F[-1] = (U[-1] + p) * vd
+        np.add(U[-1], p, out=F[-1])
+        F[-1] *= vd
         return F
 
     def _hll_flux(self, UL: np.ndarray, UR: np.ndarray, axis: int) -> np.ndarray:
         rhoL, velL, pL = self.primitives(UL)
         rhoR, velR, pR = self.primitives(UR)
-        cL = np.sqrt(self.gamma * pL / rhoL)
-        cR = np.sqrt(self.gamma * pR / rhoR)
+        cL = self._sound(rhoL, pL)
+        cR = self._sound(rhoR, pR)
         sL = np.minimum(velL[axis] - cL, velR[axis] - cR)
         sR = np.maximum(velL[axis] + cL, velR[axis] + cR)
         # Reuse the primitives already computed for the wave speeds.
         FL = self._physical_flux(UL, axis, (rhoL, velL, pL))
         FR = self._physical_flux(UR, axis, (rhoR, velR, pR))
         denom = sR - sL
-        denom = np.where(np.abs(denom) < 1e-14, 1e-14, denom)
-        F_star = (sR * FL - sL * FR + (sL * sR) * (UR - UL)) / denom
-        F = np.where(sL >= 0, FL, np.where(sR <= 0, FR, F_star))
+        np.copyto(denom, 1e-14, where=np.abs(denom) < 1e-14)
+        # F* = (sR*FL - sL*FR + (sL*sR)*(UR - UL)) / denom, accumulated in
+        # place in that operand order.
+        F = sR * FL
+        scratch = sL * FR
+        F -= scratch
+        np.subtract(UR, UL, out=scratch)
+        scratch *= sL * sR
+        F += scratch
+        F /= denom
+        # Upwind sides win over the star state, the left one first.
+        np.copyto(F, FR, where=sR <= 0)
+        np.copyto(F, FL, where=sL >= 0)
         return F

@@ -132,25 +132,7 @@ class AMRStepper:
         work = 0.0
         dense_fluxes: dict[int, list[np.ndarray]] = {}
         for level, spec in enumerate(h.levels):
-            dx = h.dx(level)
-            if self.reflux:
-                box_fluxes = []
-                for arr in spec.data.data:
-                    fluxes = self.app.compute_fluxes(arr, dx)  # type: ignore[attr-defined]
-                    self.app.advance_with_fluxes(arr, dx, dt, fluxes)  # type: ignore[attr-defined]
-                    box_fluxes.append(fluxes)
-                dense_fluxes[level] = assemble_dense_fluxes(
-                    spec.data, box_fluxes, h.level_domain(level)
-                )
-            else:
-                # Solvers that support it advance all same-shape boxes in
-                # one batched (bit-identical) call instead of per box.
-                advance_boxes = getattr(self.app, "advance_boxes", None)
-                if advance_boxes is not None:
-                    advance_boxes(spec.data.data, dx, dt)
-                else:
-                    for arr in spec.data.data:
-                        self.app.advance(arr, dx, dt)
+            dense_fluxes[level] = self._advance_level_boxes(level, dt)
             work += spec.layout.total_cells * self.app.work_per_cell()
         if self.reflux:
             self.last_reflux_delta = self._apply_reflux(dense_fluxes, dt)
@@ -171,6 +153,33 @@ class AMRStepper:
         return [self.step() for _ in range(nsteps)]
 
     # -- internals ----------------------------------------------------------
+
+    def _advance_level_boxes(self, level: int, dt: float) -> list[np.ndarray] | None:
+        """Advance every box of ``level`` by ``dt``.
+
+        With refluxing, each box goes through ``compute_fluxes`` +
+        ``advance_with_fluxes`` and the level's dense face fluxes are
+        returned for the flux registers; otherwise returns ``None``.
+        Solvers that provide ``advance_boxes`` advance all same-shape
+        boxes in one batched (bit-identical) call instead of per box.
+        """
+        h = self.hierarchy
+        spec = h.levels[level]
+        dx = h.dx(level)
+        if self.reflux:
+            box_fluxes = []
+            for arr in spec.data.data:
+                fluxes = self.app.compute_fluxes(arr, dx)  # type: ignore[attr-defined]
+                self.app.advance_with_fluxes(arr, dx, dt, fluxes)  # type: ignore[attr-defined]
+                box_fluxes.append(fluxes)
+            return assemble_dense_fluxes(spec.data, box_fluxes, h.level_domain(level))
+        advance_boxes = getattr(self.app, "advance_boxes", None)
+        if advance_boxes is not None:
+            advance_boxes(spec.data.data, dx, dt)
+        else:
+            for arr in spec.data.data:
+                self.app.advance(arr, dx, dt)
+        return None
 
     def _apply_reflux(self, dense_fluxes: dict[int, list[np.ndarray]], dt: float
                       ) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.fluxregister import assemble_dense_fluxes
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.stepper import AMRApplication, AMRStepper, StepStats
 from repro.errors import HierarchyError
@@ -104,17 +103,7 @@ class SubcycledStepper(AMRStepper):
             # Save the pre-step state for fine ghost time interpolation.
             self._old_state[level] = [arr.copy() for arr in spec.data.data]
 
-        if self.reflux:
-            box_fluxes = []
-            for arr in spec.data.data:
-                fluxes = self.app.compute_fluxes(arr, dx)  # type: ignore[attr-defined]
-                self.app.advance_with_fluxes(arr, dx, dt, fluxes)  # type: ignore[attr-defined]
-                box_fluxes.append(fluxes)
-            dense = assemble_dense_fluxes(spec.data, box_fluxes, h.level_domain(level))
-        else:
-            for arr in spec.data.data:
-                self.app.advance(arr, dx, dt)
-            dense = None
+        dense = self._advance_level_boxes(level, dt)
         self._work += spec.layout.total_cells * self.app.work_per_cell()
 
         register = None

@@ -68,8 +68,16 @@ class TestAdvanceBoxesEquivalence:
             assert np.array_equal(got, want)
 
     def test_chunk_size_invariance(self, monkeypatch):
-        solver = PolytropicGasSolver()
-        shapes = [(8, 8)] * 9
+        self._check_chunk_size_invariance(monkeypatch, (8, 8), order=2)
+
+    @pytest.mark.parametrize("shape, order", [((8, 8), 1), ((6, 4, 5), 2), ((6, 4, 5), 1)])
+    def test_chunk_size_invariance_3d_and_order1(self, monkeypatch, shape, order):
+        self._check_chunk_size_invariance(monkeypatch, shape, order)
+
+    @staticmethod
+    def _check_chunk_size_invariance(monkeypatch, shape, order):
+        solver = PolytropicGasSolver(order=order)
+        shapes = [shape] * 9
         reference = blast_arrays(solver, shapes, seed=1)
         solver.advance_boxes(reference, dx=0.05, dt=0.004)
         for batch_cells in (1, 100, 1 << 30):

@@ -43,6 +43,25 @@ class TestConfig:
         assert solver.ncomp == 4
 
 
+
+class TestStableDt:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_wave_speed_raises(self, bad):
+        h = gas_hierarchy(n=32)
+        solver = PolytropicGasSolver()
+        stepper = AMRStepper(h, solver, regrid_interval=0)
+        assert len(h.levels[0].layout) == 4
+        h.levels[0].data.valid_view(2)[0][3, 5] = bad
+        before = [arr.copy() for arr in h.levels[0].data.data]
+        with np.errstate(invalid="ignore"):  # inf * 0 in the kinetic energy
+            with pytest.raises(GeometryError, match="box 2"):
+                solver.stable_dt(h)
+            with pytest.raises(GeometryError, match="box 2"):
+                stepper.step()
+        # The step stopped before advancing any box.
+        for arr, old in zip(h.levels[0].data.data, before):
+            assert np.array_equal(arr, old, equal_nan=True)
+
 class TestPrimitives:
     def test_roundtrip(self):
         solver = PolytropicGasSolver(gamma=1.4)

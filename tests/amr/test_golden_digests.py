@@ -11,9 +11,19 @@ average-down and flux-register refluxing:
 - the same advection problem under :class:`SubcycledStepper` with
   refluxing.
 
-The digests were recorded before the plans were compiled from corner
-arrays; any change to the solver path that alters a single bit of a
-trace record, a halo byte count or a field value moves a digest.
+Four more pin the Polytropic gas paths the capture run does not take:
+
+- 2-D periodic gas under ``AMRStepper(reflux=True)`` -- the per-box
+  ``compute_fluxes`` + ``advance_with_fluxes`` path, including
+  ``last_reflux_delta``;
+- 3-D periodic first-order (``order=1``) gas;
+- 2-D non-periodic gas under :class:`AMRStepper` and, without refluxing,
+  under :class:`SubcycledStepper`.
+
+The first three digests were recorded before the plans were compiled
+from corner arrays, the gas-path digests before the MUSCL-HLL kernel was
+made allocation-lean; any change to the solver path that alters a single
+bit of a trace record, a halo byte count or a field value moves a digest.
 """
 
 import hashlib
@@ -36,6 +46,18 @@ ADVECTION = (
 )
 ADVECTION_SUBCYCLED_REFLUX = (
     "c6b021a693d0323c60b53b2897216c302a567d8e7d5ca2d076bf1eb9bee15906"
+)
+GAS_REFLUX_2D = (
+    "cf91899002da9e5ebfde6fbae33ada3014a845c827846b1f006ce797256d42a5"
+)
+GAS_ORDER1_3D = (
+    "174f0968740a34efa2d5120b258df6e1a25b16525025bf0fd1c75509cd982aac"
+)
+GAS_NONPERIODIC_2D = (
+    "43dd6bcc3b9976be961bb0bc5ad84358bcbe0d059877a280ff0b3da093dad430"
+)
+GAS_NONPERIODIC_2D_SUBCYCLED = (
+    "0cdb1e6f2c62d61956efb525052e416fcc472d5687eb2d3acdd5f32e2f3ae25f"
 )
 
 
@@ -103,6 +125,32 @@ def advection_digest(subcycled: bool) -> str:
     return h.hexdigest()
 
 
+def _gas_hierarchy(shape, periodic: bool) -> AMRHierarchy:
+    return AMRHierarchy(
+        Box(tuple(0 for _ in shape), tuple(n - 1 for n in shape)),
+        ncomp=len(shape) + 2, nghost=2, max_levels=2, nranks=3,
+        max_box_size=8, dx0=1.0 / shape[0], periodic=periodic,
+    )
+
+
+def gas_digest(shape, periodic=True, order=2, reflux=False,
+               subcycled=False, nsteps=8) -> str:
+    hierarchy = _gas_hierarchy(shape, periodic)
+    solver = PolytropicGasSolver(order=order, tag_threshold=0.06)
+    if subcycled:
+        stepper = SubcycledStepper(hierarchy, solver, regrid_interval=3,
+                                   reflux=reflux)
+    else:
+        stepper = AMRStepper(hierarchy, solver, regrid_interval=3,
+                             reflux=reflux)
+    stepper.run(nsteps)
+    h = hashlib.sha256()
+    _feed_stats(h, stepper)
+    _feed(h, stepper.last_reflux_delta)
+    _feed_levels(h, hierarchy)
+    return h.hexdigest()
+
+
 class TestGoldenAMRDigests:
     def test_gas_capture_3d_periodic(self):
         assert gas_capture_digest() == GAS_CAPTURE
@@ -112,3 +160,16 @@ class TestGoldenAMRDigests:
 
     def test_advection_2d_subcycled_reflux(self):
         assert advection_digest(subcycled=True) == ADVECTION_SUBCYCLED_REFLUX
+
+    def test_gas_2d_periodic_reflux(self):
+        assert gas_digest((32, 24), reflux=True) == GAS_REFLUX_2D
+
+    def test_gas_3d_periodic_order1(self):
+        assert gas_digest((16, 8, 8), order=1, nsteps=6) == GAS_ORDER1_3D
+
+    def test_gas_2d_nonperiodic(self):
+        assert gas_digest((32, 24), periodic=False) == GAS_NONPERIODIC_2D
+
+    def test_gas_2d_nonperiodic_subcycled(self):
+        assert (gas_digest((32, 24), periodic=False, subcycled=True)
+                == GAS_NONPERIODIC_2D_SUBCYCLED)
