@@ -90,115 +90,6 @@ from pathlib import Path
 
 __all__ = ["SUBCOMMANDS", "main"]
 
-#: Non-experiment subcommands (the docs-consistency test keys off this).
-SUBCOMMANDS = ("list", "all", "run-all", "trace", "audit", "bench-diff",
-               "faults", "triggers", "profile", "tenants")
-
-
-def _fig1() -> str:
-    from repro.experiments import fig1_memory
-
-    return fig1_memory.render(fig1_memory.run_fig1())
-
-
-def _fig4() -> str:
-    from repro.experiments import fig4_timeline
-
-    return fig4_timeline.render(fig4_timeline.run_fig4())
-
-
-def _fig5() -> str:
-    from repro.experiments import fig5_app_layer
-
-    return fig5_app_layer.render(fig5_app_layer.run_fig5())
-
-
-def _fig6() -> str:
-    from repro.experiments import fig6_entropy
-
-    return fig6_entropy.render(fig6_entropy.run_fig6())
-
-
-def _fig7() -> str:
-    from repro.experiments import fig7_placement
-
-    return fig7_placement.render(fig7_placement.run_fig7())
-
-
-def _fig8() -> str:
-    from repro.experiments import fig8_data_movement
-
-    return fig8_data_movement.render(fig8_data_movement.run_fig8())
-
-
-def _fig9() -> str:
-    from repro.experiments import fig9_resource
-
-    return fig9_resource.render(fig9_resource.run_fig9())
-
-
-def _fig10() -> str:
-    from repro.experiments import fig10_global
-
-    return fig10_global.render(fig10_global.run_fig10())
-
-
-def _fig11() -> str:
-    from repro.experiments import fig11_global_movement
-
-    return fig11_global_movement.render(fig11_global_movement.run_fig11())
-
-
-def _table2() -> str:
-    from repro.experiments import table2_utilization
-
-    return table2_utilization.render(table2_utilization.run_table2())
-
-
-def _ablations() -> str:
-    from repro.experiments import ablations
-
-    return ablations.render_all()
-
-
-def _objectives() -> str:
-    from repro.experiments import objectives
-
-    return objectives.render(objectives.run_objectives())
-
-
-def _fig_triggers() -> str:
-    from repro.experiments import fig_triggers
-
-    return fig_triggers.render(fig_triggers.run_fig_triggers())
-
-
-def _fig_tenants() -> str:
-    from repro.experiments import fig_tenants
-
-    return fig_tenants.render(fig_tenants.run_fig_tenants())
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
-    "fig1": ("peak-memory distribution, Polytropic Gas", _fig1),
-    "fig4": ("placement decision timeline", _fig4),
-    "fig5": ("adaptive spatial resolution vs memory", _fig5),
-    "fig6": ("entropy-based down-sampling fidelity", _fig6),
-    "fig7": ("end-to-end time: static vs adaptive placement", _fig7),
-    "fig8": ("data movement: in-transit vs adaptive", _fig8),
-    "fig9": ("adaptive staging allocation + Eq. 12", _fig9),
-    "fig10": ("global cross-layer vs local adaptation", _fig10),
-    "fig11": ("data movement: global vs local", _fig11),
-    "table2": ("staging core usage histogram", _table2),
-    "ablations": ("design-choice sweeps", _ablations),
-    "objectives": ("user-preference trade-off comparison", _objectives),
-    "fig_triggers": ("monitoring overhead vs adaptation lag across "
-                     "trigger policies", _fig_triggers),
-    "fig_tenants": ("multi-tenant contention across admission policies",
-                    _fig_tenants),
-}
-
-
 def _quickstart(mode: str, steps: int, seed: int, estimator_bias: float = 1.0):
     """The quickstart workload + config shared by ``trace`` and ``audit``."""
     from repro.hpc.systems import titan
@@ -226,6 +117,37 @@ def _quickstart(mode: str, steps: int, seed: int, estimator_bias: float = 1.0):
         estimator_bias=estimator_bias,
     )
     return config, trace
+
+
+def _print_sections(outcomes) -> None:
+    for outcome in outcomes:
+        print(f"\n### {outcome.name} " + "#" * max(0, 66 - len(outcome.name)))
+        print(outcome.text)
+
+
+def _list_command(argv: list[str]) -> int:
+    """The ``repro list`` subcommand: experiments, then subcommands."""
+    argparse.ArgumentParser(prog="python -m repro list").parse_args(argv)
+    from repro.experiments.parallel import SWEEPS
+
+    width = max(len(name) for name in SWEEPS)
+    for name, spec in SWEEPS.items():
+        print(f"{name.ljust(width)}  {spec.description}")
+    # ``list`` and ``all`` take no options; every other subcommand
+    # documents its own in ``--help``.
+    for name, (summary, _handler) in _COMMANDS.items():
+        if name not in ("list", "all"):
+            print(f"{name.ljust(width)}  {summary} (see '{name} --help')")
+    return 0
+
+
+def _all_command(argv: list[str]) -> int:
+    """The ``repro all`` subcommand: every experiment, in-process."""
+    argparse.ArgumentParser(prog="python -m repro all").parse_args(argv)
+    from repro.experiments.parallel import run_all
+
+    _print_sections(run_all(None, jobs=1))
+    return 0
 
 
 def _run_all_command(argv: list[str]) -> int:
@@ -261,10 +183,7 @@ def _run_all_command(argv: list[str]) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    for outcome in outcomes:
-        print(f"\n### {outcome.name} " + "#" * max(0, 66 - len(outcome.name)))
-        print(outcome.text)
-
+    _print_sections(outcomes)
     total_points = sum(outcome.points for outcome in outcomes)
     total_seconds = sum(outcome.seconds for outcome in outcomes)
     print(f"\nran {len(outcomes)} experiment(s), {total_points} grid "
@@ -719,24 +638,37 @@ def _trace_modes():
     return list(Mode)
 
 
+#: Every subcommand: name -> (one-line summary, handler taking the rest
+#: of argv).  Dispatch, ``SUBCOMMANDS`` and ``list`` all read it.
+_COMMANDS: dict[str, tuple[str, Callable[[list[str]], int]]] = {
+    "list": ("list the experiments and subcommands", _list_command),
+    "all": ("run every experiment in this process", _all_command),
+    "run-all": ("regenerate experiments via the parallel sweep runner",
+                _run_all_command),
+    "trace": ("instrumented replay: decision timeline + occupancy Gantt",
+              _trace_command),
+    "audit": ("prediction-ledger replay: calibration report + placement "
+              "regret", _audit_command),
+    "bench-diff": ("compare two benchmark wall-time snapshots",
+                   _bench_diff_command),
+    "faults": ("fault-scenario replay: time-to-solution delta + recovery "
+               "timeline", _faults_command),
+    "triggers": ("trigger-policy comparison: monitoring overhead vs "
+                 "adaptation lag", _triggers_command),
+    "profile": ("span profile of a quickstart run: where host wall time "
+                "goes, budget check", _profile_command),
+    "tenants": ("multi-tenant service: contention, queue waits and "
+                "fairness on a shared machine", _tenants_command),
+}
+
+#: Non-experiment subcommands (the docs-consistency test keys off this).
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "run-all":
-        return _run_all_command(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_command(argv[1:])
-    if argv and argv[0] == "audit":
-        return _audit_command(argv[1:])
-    if argv and argv[0] == "bench-diff":
-        return _bench_diff_command(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_command(argv[1:])
-    if argv and argv[0] == "triggers":
-        return _triggers_command(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_command(argv[1:])
-    if argv and argv[0] == "tenants":
-        return _tenants_command(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        return _COMMANDS[argv[0]][1](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -744,50 +676,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (see 'list'), 'all', 'run-all', 'list', "
-        "'trace', 'audit', 'bench-diff', 'faults', 'triggers', "
-        "'profile', or 'tenants'",
+        help="experiment id (see 'list') or one of: "
+        + ", ".join(SUBCOMMANDS),
     )
     args = parser.parse_args(argv)
 
-    if args.experiment == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, _fn) in EXPERIMENTS.items():
-            print(f"{name.ljust(width)}  {description}")
-        print(f"{'run-all'.ljust(width)}  regenerate experiments via the "
-              "parallel sweep runner (see 'run-all --help')")
-        print(f"{'trace'.ljust(width)}  instrumented replay: decision "
-              "timeline + occupancy Gantt (see 'trace --help')")
-        print(f"{'audit'.ljust(width)}  prediction-ledger replay: "
-              "calibration report + placement regret (see 'audit --help')")
-        print(f"{'bench-diff'.ljust(width)}  compare two benchmark "
-              "wall-time snapshots (see 'bench-diff --help')")
-        print(f"{'faults'.ljust(width)}  fault-scenario replay: "
-              "time-to-solution delta + recovery timeline "
-              "(see 'faults --help')")
-        print(f"{'triggers'.ljust(width)}  trigger-policy comparison: "
-              "monitoring overhead vs adaptation lag "
-              "(see 'triggers --help')")
-        print(f"{'profile'.ljust(width)}  span profile of a quickstart "
-              "run: where host wall time goes, budget check "
-              "(see 'profile --help')")
-        print(f"{'tenants'.ljust(width)}  multi-tenant service: "
-              "contention, queue waits and fairness on a shared machine "
-              "(see 'tenants --help')")
-        return 0
+    from repro.experiments.parallel import SWEEPS, run_all
 
-    if args.experiment == "all":
-        for name, (_description, fn) in EXPERIMENTS.items():
-            print(f"\n### {name} " + "#" * max(0, 66 - len(name)))
-            print(fn())
-        return 0
-
-    entry = EXPERIMENTS.get(args.experiment)
-    if entry is None:
+    if args.experiment not in SWEEPS:
         print(f"unknown experiment {args.experiment!r}; try 'list'",
               file=sys.stderr)
         return 2
-    print(entry[1]())
+    print(run_all([args.experiment], jobs=1)[0].text)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Memoized simulation sessions for the experiment hot path.
+"""Memoized deterministic artifacts for the experiment hot path.
 
 Several experiments re-run the same deterministic solver configurations:
 the Figure 1/5 memory studies and the captured-trace sweep all capture
@@ -9,12 +9,9 @@ single output bit:
 
 - **Prefix reuse.**  A captured trace of ``k`` steps is, by determinism,
   exactly the first ``k`` records of a longer capture from the same
-  configuration, so shorter requests are served by slicing.
-- **Stepper extension.**  :class:`~repro.amr.stepper.AMRStepper.run`
-  continues the step counter, so a session keeps the live stepper and
-  advances it *forward* for longer requests instead of re-running from
-  step zero.  A session whose stepper has already passed the requested
-  step recomputes from scratch (state cannot be rewound).
+  configuration.  The longest capture per configuration is kept and
+  shorter requests are served by slicing; a longer request recomputes
+  from step zero and replaces it.
 - **Content-addressed disk artifacts.**  With ``REPRO_CACHE_DIR`` set,
   finished artifacts are pickled under a key hashing the experiment
   kind, its parameters, :data:`CACHE_VERSION` and the current git
@@ -27,15 +24,14 @@ un-cached experiments always did.  ``""``, ``0``, ``false`` and ``no``
 keep it enabled; any other value warns once and keeps the cache on
 (bypassing is the *exceptional* state and must be asked for
 unambiguously).  When a
-:class:`~repro.observability.MetricsRegistry` is attached, lookups
-publish the ``experiments.cache_hits`` / ``experiments.cache_misses``
-counters, failed disk stores the
+:class:`~repro.observability.MetricsRegistry` is set as ``metrics``,
+lookups publish the ``experiments.cache_hits`` /
+``experiments.cache_misses`` counters, failed disk stores the
 ``experiments.cache_store_failures`` counter, and contended per-key
 file locks the ``experiments.cache_lock_waits`` counter.  When a
-:class:`~repro.observability.Profiler` is attached
-(:meth:`ExperimentCache.attach_profiler`), every lookup runs under a
-``cache.lookup`` span with actual artifact computes nested under
-``cache.compute``.
+:class:`~repro.observability.Profiler` is set as ``profiler``, every
+lookup runs under a ``cache.lookup`` span with actual artifact computes
+nested under ``cache.compute``.
 
 The disk layer is safe for concurrent writers: artifacts are written
 via ``os.replace`` (never torn), and the miss path holds a per-key
@@ -60,8 +56,6 @@ try:  # POSIX advisory locks; on platforms without fcntl the cache
     import fcntl  # degrades to lock-free (correct, stampede-prone).
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
-
-import numpy as np
 
 from repro.workload.capture import capture_trace
 from repro.workload.trace import WorkloadTrace
@@ -156,72 +150,13 @@ def cache_enabled() -> bool:
     return True
 
 
-class _TraceSession:
-    """One solver configuration's captured records, grown incrementally."""
-
-    def __init__(self, build: Callable[[], Any], name: str):
-        self.build = build
-        self.name = name
-        self.stepper = None
-        self.records: list = []
-        self.meta: tuple[int, int, float] | None = None  # ndim, nranks, b/cell
-
-    def adopt(self, trace: WorkloadTrace) -> None:
-        """Seed from a disk artifact (records only; no live stepper)."""
-        self.records = list(trace.steps)
-        self.meta = (trace.ndim, trace.nranks, trace.bytes_per_cell)
-
-    def prefix(self, nsteps: int) -> WorkloadTrace:
-        ndim, nranks, bpc = self.meta
-        return WorkloadTrace(
-            name=self.name,
-            ndim=ndim,
-            nranks=nranks,
-            bytes_per_cell=bpc,
-            steps=list(self.records[:nsteps]),
-        )
-
-    def extend_to(self, nsteps: int) -> WorkloadTrace:
-        if self.stepper is None:
-            # Either a fresh session or one adopted from disk; a disk
-            # prefix cannot be extended without solver state, so restart.
-            self.stepper = self.build()
-            self.records = []
-        captured = capture_trace(
-            self.stepper, nsteps - len(self.records), name=self.name
-        )
-        self.records.extend(captured.steps)
-        self.meta = (captured.ndim, captured.nranks, captured.bytes_per_cell)
-        return self.prefix(nsteps)
-
-
-class _FieldSession:
-    """One solver configuration's live stepper plus extracted fields."""
-
-    def __init__(self, build: Callable[[], Any], extract: Callable[[Any], np.ndarray]):
-        self.build = build
-        self.extract = extract
-        self.stepper = None
-        self.steps_done = 0
-        self.fields: dict[int, np.ndarray] = {}
-
-    def advance_to(self, nsteps: int) -> np.ndarray:
-        if self.stepper is None or self.steps_done > nsteps:
-            self.stepper = self.build()
-            self.steps_done = 0
-        if nsteps > self.steps_done:
-            self.stepper.run(nsteps - self.steps_done)
-            self.steps_done = nsteps
-        return self.extract(self.stepper)
-
-
 class ExperimentCache:
     """Parameter-keyed memo for deterministic experiment inputs.
 
-    In-process sessions hold live steppers (for prefix/extension reuse);
-    the optional on-disk layer under ``REPRO_CACHE_DIR`` persists
-    finished artifacts across processes.  All public entry points honour
-    ``REPRO_NO_CACHE=1`` by delegating straight to the compute path.
+    Artifacts live in an in-process dict; the optional on-disk layer
+    under ``REPRO_CACHE_DIR`` persists them across processes.  Both
+    entry points honour ``REPRO_NO_CACHE=1`` by delegating straight to
+    the compute path.
     """
 
     def __init__(self, cache_dir: str | Path | None = None, metrics=None,
@@ -230,18 +165,8 @@ class ExperimentCache:
         self.metrics = metrics
         self.profiler = profiler
         self._values: dict[str, Any] = {}
-        self._sessions: dict[str, Any] = {}
 
     # -- plumbing ----------------------------------------------------------
-
-    def attach_metrics(self, registry) -> None:
-        """Publish hit/miss counters to ``registry`` from now on."""
-        self.metrics = registry
-
-    def attach_profiler(self, profiler) -> None:
-        """Wrap lookups (``cache.lookup``) and artifact computes
-        (``cache.compute``) in profiler spans from now on."""
-        self.profiler = profiler
 
     def _compute(self, fn: Callable[[], Any]) -> Any:
         """Run an artifact compute, spanned as ``cache.compute`` when a
@@ -376,39 +301,7 @@ class ExperimentCache:
 
     def value(self, kind: str, params: dict, compute: Callable[[], Any]) -> Any:
         """Generic memo for a deterministic, parameter-keyed computation."""
-        if not cache_enabled():
-            return self._compute(compute)
-        if self.profiler is not None:
-            with self.profiler.span("cache.lookup"):
-                return self._value(kind, params, compute)
-        return self._value(kind, params, compute)
-
-    def _value(self, kind: str, params: dict, compute: Callable[[], Any]) -> Any:
-        key = self.key(kind, **params)
-        cached = self._values.get(key, _MISS)
-        if cached is not _MISS:
-            self._count(hit=True)
-            return cached
-        stored = self._disk_load(key)
-        if stored is not _MISS:
-            self._count(hit=True)
-            self._values[key] = stored
-            return stored
-        self._count(hit=False)
-        root = self._dir()
-        if root is None:
-            result = self._values[key] = self._compute(compute)
-            return result
-        with self._locked(root, key):
-            # A concurrent worker may have stored it while this one
-            # waited on the lock; one compute serves the whole pool.
-            stored = self._disk_load(key)
-            if stored is not _MISS:
-                self._values[key] = stored
-                return stored
-            result = self._values[key] = self._compute(compute)
-            self._disk_store(key, result)
-        return result
+        return self._lookup(kind, params, compute, lambda stored: True)
 
     def trace(
         self,
@@ -418,121 +311,68 @@ class ExperimentCache:
         build: Callable[[], Any],
         name: str,
     ) -> WorkloadTrace:
-        """A captured trace, served from prefixes / stepper extension.
+        """An ``nsteps`` capture of the stepper ``build`` constructs.
 
-        ``build`` constructs the (deterministic) stepper; ``nsteps`` of
-        capture are returned.  One session per (kind, params) holds the
-        longest capture so far; shorter requests slice it, longer ones
-        advance the live stepper forward.
+        The longest capture per (kind, params) is kept; shorter requests
+        are served as slices of it and longer ones recompute from step
+        zero, replacing it in memory and on disk.
         """
-        if not cache_enabled():
-            return self._compute(lambda: capture_trace(build(), nsteps, name=name))
-        if self.profiler is not None:
-            with self.profiler.span("cache.lookup"):
-                return self._trace(kind, params, nsteps, build, name)
-        return self._trace(kind, params, nsteps, build, name)
+        full = self._lookup(
+            kind,
+            params,
+            lambda: capture_trace(build(), nsteps, name=name),
+            lambda stored: len(stored.steps) >= nsteps,
+        )
+        return WorkloadTrace(
+            name=name,
+            ndim=full.ndim,
+            nranks=full.nranks,
+            bytes_per_cell=full.bytes_per_cell,
+            steps=full.steps[:nsteps],
+        )
 
-    def _trace(
+    def _lookup(
         self,
         kind: str,
         params: dict,
-        nsteps: int,
-        build: Callable[[], Any],
-        name: str,
-    ) -> WorkloadTrace:
-        skey = self.key(kind, **params)
-        session = self._sessions.get(skey)
-        if session is None:
-            session = _TraceSession(build, name)
-            stored = self._disk_load(skey)
-            if stored is not _MISS:
-                session.adopt(stored)
-            self._sessions[skey] = session
-        if len(session.records) >= nsteps:
+        compute: Callable[[], Any],
+        fits: Callable[[Any], bool],
+    ) -> Any:
+        """The artifact for (kind, params) that ``fits`` the request."""
+        if not cache_enabled():
+            return self._compute(compute)
+        if self.profiler is not None:
+            with self.profiler.span("cache.lookup"):
+                return self._memo(self.key(kind, **params), compute, fits)
+        return self._memo(self.key(kind, **params), compute, fits)
+
+    def _memo(
+        self, key: str, compute: Callable[[], Any], fits: Callable[[Any], bool]
+    ) -> Any:
+        cached = self._values.get(key, _MISS)
+        if cached is _MISS:
+            cached = self._disk_load(key)
+            if cached is not _MISS:
+                self._values[key] = cached
+        if cached is not _MISS and fits(cached):
             self._count(hit=True)
-            return session.prefix(nsteps)
+            return cached
         self._count(hit=False)
         root = self._dir()
         if root is None:
-            return self._compute(lambda: session.extend_to(nsteps))
-        with self._locked(root, skey):
-            # A concurrent worker may have stored a capture at least as
-            # long while this one waited; adopting it (when no live
-            # stepper would be discarded) skips the recompute and is
-            # bit-identical by determinism.
-            stored = self._disk_load(skey)
-            if (
-                stored is not _MISS
-                and session.stepper is None
-                and len(stored.steps) >= nsteps
-            ):
-                session.adopt(stored)
-                return session.prefix(nsteps)
-            trace = self._compute(lambda: session.extend_to(nsteps))
-            if stored is _MISS or len(stored.steps) < len(session.records):
-                self._disk_store(skey, session.prefix(len(session.records)))
-        return trace
-
-    def field(
-        self,
-        kind: str,
-        params: dict,
-        nsteps: int,
-        build: Callable[[], Any],
-        extract: Callable[[Any], np.ndarray],
-    ) -> np.ndarray:
-        """A dense field extracted after ``nsteps``, with stepper reuse.
-
-        Returns a private copy, so callers may mutate the result freely.
-        """
-        if not cache_enabled():
-            def _fresh() -> np.ndarray:
-                stepper = build()
-                stepper.run(nsteps)
-                return extract(stepper)
-            return self._compute(_fresh)
-        if self.profiler is not None:
-            with self.profiler.span("cache.lookup"):
-                return self._field(kind, params, nsteps, build, extract)
-        return self._field(kind, params, nsteps, build, extract)
-
-    def _field(
-        self,
-        kind: str,
-        params: dict,
-        nsteps: int,
-        build: Callable[[], Any],
-        extract: Callable[[Any], np.ndarray],
-    ) -> np.ndarray:
-        skey = self.key(kind, **params)
-        session = self._sessions.get(skey)
-        if session is None:
-            session = _FieldSession(build, extract)
-            self._sessions[skey] = session
-        if nsteps in session.fields:
-            self._count(hit=True)
-            return session.fields[nsteps].copy()
-        fkey = self.key(kind, **params, nsteps=nsteps)
-        stored = self._disk_load(fkey)
-        if stored is not _MISS:
-            self._count(hit=True)
-            session.fields[nsteps] = stored
-            return stored.copy()
-        self._count(hit=False)
-        root = self._dir()
-        if root is None:
-            field = self._compute(lambda: session.advance_to(nsteps))
-            session.fields[nsteps] = field
-            return field.copy()
-        with self._locked(root, fkey):
-            stored = self._disk_load(fkey)
-            if stored is not _MISS:
-                session.fields[nsteps] = stored
-                return stored.copy()
-            field = self._compute(lambda: session.advance_to(nsteps))
-            session.fields[nsteps] = field
-            self._disk_store(fkey, field)
-        return field.copy()
+            result = self._values[key] = self._compute(compute)
+            return result
+        with self._locked(root, key):
+            # A concurrent worker may have stored a fitting artifact
+            # while this one waited on the lock; one compute serves the
+            # whole pool.
+            stored = self._disk_load(key)
+            if stored is not _MISS and fits(stored):
+                self._values[key] = stored
+                return stored
+            result = self._values[key] = self._compute(compute)
+            self._disk_store(key, result)
+        return result
 
 
 _DEFAULT: ExperimentCache | None = None
@@ -547,6 +387,6 @@ def default_cache() -> ExperimentCache:
 
 
 def reset_default_cache() -> None:
-    """Drop the shared cache (tests use this to isolate sessions)."""
+    """Drop the shared cache (tests use this to isolate runs)."""
     global _DEFAULT
     _DEFAULT = None

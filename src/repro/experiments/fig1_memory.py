@@ -53,10 +53,10 @@ def captured_gas_trace(
     Small boxes and few capture ranks keep several boxes per rank, so the
     per-rank peak tracks refinement growth the way the paper's does.
 
-    Requests for the same configuration share one memoized solver
-    session (:mod:`repro.experiments.cache`): shorter traces are served
-    as prefixes of the longest capture so far, longer ones extend the
-    live stepper -- both bit-identical to a fresh run of that length.
+    Requests for the same configuration share one memoized capture
+    (:mod:`repro.experiments.cache`): shorter traces are served as
+    prefixes of the longest capture so far, longer ones recompute from
+    step zero -- both bit-identical to a fresh run of that length.
     """
     cache = default_cache() if cache is None else cache
     return cache.trace(

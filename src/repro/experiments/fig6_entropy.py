@@ -60,18 +60,19 @@ def _density(stepper: AMRStepper) -> np.ndarray:
 def density_field(n: int = 48, nsteps: int = 25, cache=None) -> np.ndarray:
     """Run the 3-D gas solver and return the dense density field.
 
-    Repeated requests share one memoized solver session
-    (:mod:`repro.experiments.cache`); a longer request advances the same
-    stepper forward, bit-identical to a fresh run of that length.
+    Fields are memoized per ``(n, nsteps)`` (:mod:`repro.experiments.cache`)
+    and every call returns a private copy, so callers may mutate the
+    result without poisoning the cache.
     """
+
+    def _compute() -> np.ndarray:
+        stepper = _gas_stepper(n)
+        stepper.run(nsteps)
+        return _density(stepper)
+
     cache = default_cache() if cache is None else cache
-    return cache.field(
-        "density_field",
-        {"n": n},
-        nsteps,
-        build=lambda: _gas_stepper(n),
-        extract=_density,
-    )
+    return cache.value("density_field", {"n": n, "nsteps": nsteps},
+                       _compute).copy()
 
 
 @dataclass(frozen=True)

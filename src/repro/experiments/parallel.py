@@ -90,8 +90,8 @@ class SweepSpec:
         return self._mod().render(merged)
 
 
-#: Every experiment the ``run-all`` sweep covers, in report order
-#: (mirrors ``repro.__main__.EXPERIMENTS``).
+#: Every experiment, in report order: the one registry behind
+#: ``python -m repro list``, ``<id>``, ``all`` and ``run-all``.
 SWEEPS: dict[str, SweepSpec] = {
     spec.name: spec
     for spec in (

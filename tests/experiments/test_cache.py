@@ -1,7 +1,7 @@
 """Tests for the memoized experiment cache (:mod:`repro.experiments.cache`).
 
-The cache's contract is *bit-identity*: a hit, a prefix slice, a stepper
-extension, a disk round-trip and a ``REPRO_NO_CACHE=1`` bypass must all
+The cache's contract is *bit-identity*: a hit, a prefix slice, a longer
+recompute, a disk round-trip and a ``REPRO_NO_CACHE=1`` bypass must all
 yield exactly the output of an uncached run.  These tests exercise each
 path with small solver configurations so they stay fast.
 """
@@ -177,10 +177,10 @@ class TestTraceSessions:
         cache = ExperimentCache()
         t8 = cache.trace("t", SMALL, 8, small_stepper, name="t")
         assert_traces_identical(t8, fresh_trace(8))
-        # Longer request: the live stepper advances forward.
+        # Longer request: recomputed from step zero, replacing the 8.
         t12 = cache.trace("t", SMALL, 12, small_stepper, name="t")
         assert_traces_identical(t12, fresh_trace(12))
-        # Shorter request: served as a slice of the 12-step session.
+        # Shorter request: served as a slice of the 12-step capture.
         t5 = cache.trace("t", SMALL, 5, small_stepper, name="t")
         assert_traces_identical(t5, fresh_trace(5))
 
@@ -196,10 +196,28 @@ class TestTraceSessions:
         t6 = reader.trace("t", SMALL, 6, small_stepper, name="t")
         assert_traces_identical(t6, fresh_trace(6))
         assert registry.counter("experiments.cache_hits").value == 1
-        # Extending past a disk prefix restarts from scratch (no live
-        # stepper to advance) but must still be bit-identical.
+        # A request past the stored capture recomputes from step zero
+        # and must still be bit-identical.
         t12 = reader.trace("t", SMALL, 12, small_stepper, name="t")
         assert_traces_identical(t12, fresh_trace(12))
+
+    def test_prefix_reuse_builds_once(self):
+        # Shorter requests must be slices of the longest capture: one
+        # solver build serves all three, counted as 1 miss + 2 hits.
+        registry = MetricsRegistry()
+        cache = ExperimentCache(metrics=registry)
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return small_stepper()
+
+        for nsteps in (12, 8, 5):
+            got = cache.trace("t", SMALL, nsteps, counting_build, name="t")
+            assert_traces_identical(got, fresh_trace(nsteps))
+        assert len(builds) == 1
+        assert registry.counter("experiments.cache_misses").value == 1
+        assert registry.counter("experiments.cache_hits").value == 2
 
     def test_no_cache_bit_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -231,8 +249,7 @@ class TestFieldSessions:
     def test_overshoot_rebuilds(self):
         cache = ExperimentCache()
         f5 = density_field(n=16, nsteps=5, cache=cache)
-        # Requesting fewer steps than the live stepper has run forces a
-        # rebuild from step zero (state cannot be rewound).
+        # A shorter field is its own artifact, computed from step zero.
         f2 = density_field(n=16, nsteps=2, cache=cache)
         assert np.array_equal(f2, density_field(n=16, nsteps=2, cache=ExperimentCache()))
         assert np.array_equal(f5, density_field(n=16, nsteps=5, cache=cache))

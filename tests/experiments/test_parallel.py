@@ -51,10 +51,17 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 class TestGrid:
-    def test_sweeps_cover_every_cli_experiment(self):
-        from repro.__main__ import EXPERIMENTS
+    def test_sweeps_cover_every_cli_experiment(self, capsys):
+        from repro.__main__ import main
 
-        assert sweep_names() == list(EXPERIMENTS)
+        expected = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+                    "fig10", "fig11", "table2", "ablations", "objectives",
+                    "fig_triggers", "fig_tenants"]
+        assert sweep_names() == list(SWEEPS) == expected
+        # The CLI lists exactly the SWEEPS ids first, in report order.
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:len(expected)]] == expected
 
     def test_every_spec_has_a_nonempty_grid(self):
         for name, spec in SWEEPS.items():

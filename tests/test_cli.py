@@ -1,16 +1,24 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from importlib import import_module
+
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import SUBCOMMANDS, main
+from repro.experiments.parallel import SWEEPS, run_all
 
 
 class TestCLI:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        lines = capsys.readouterr().out.splitlines()
+        for name, spec in SWEEPS.items():
+            assert any(line.split()[:1] == [name]
+                       and line.endswith(f"  {spec.description}")
+                       for line in lines), name
+        for name in SUBCOMMANDS:
+            if name not in ("list", "all"):
+                assert any(line.split()[:1] == [name] for line in lines), name
 
     def test_unknown_experiment_fails(self, capsys):
         assert main(["bogus"]) == 2
@@ -27,12 +35,17 @@ class TestCLI:
         expected = {"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
                     "fig10", "fig11", "table2", "ablations", "objectives",
                     "fig_triggers", "fig_tenants"}
-        assert expected == set(EXPERIMENTS)
+        assert expected == set(SWEEPS)
 
     def test_descriptions_nonempty(self):
-        for name, (description, fn) in EXPERIMENTS.items():
-            assert description
-            assert callable(fn)
+        for name, spec in SWEEPS.items():
+            assert spec.description
+            assert callable(import_module(spec.module).run_point)
+
+    @pytest.mark.parametrize("name", ["fig4", "fig9"])
+    def test_experiment_prints_run_all_text(self, name, capsys):
+        assert main([name]) == 0
+        assert capsys.readouterr().out == run_all([name])[0].text + "\n"
 
 
 class TestRunAllCLI:
